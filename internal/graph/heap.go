@@ -68,8 +68,8 @@ func (h *IndexedMinHeap) Push(key int, priority float64) {
 }
 
 // Reset empties the heap in O(len) so it can be reused for a fresh run
-// without reallocating. Priorities of previously popped keys become
-// meaningless after a reset.
+// without reallocating. Keys pushed before the reset keep their last set
+// priority readable through Priority.
 func (h *IndexedMinHeap) Reset() {
 	for _, k := range h.heap {
 		h.pos[k] = -1

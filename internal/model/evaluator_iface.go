@@ -81,13 +81,6 @@ func EvaluatorFeatures() map[string]bool {
 		"probe_promotion": true,
 		// Limit-aware probes for branch-and-bound (BoundedProber).
 		"bounded_probes": true,
-		// Memo defaults: the private memo stays anneal-only and the
-		// shared memo stays opt-in (-memo-entries). Re-measured after the
-		// probe cache landed: IDB/local-search round bases almost never
-		// repeat an exact deployment, so memo lookups stay cold there
-		// while costing a hash per probe.
-		"private_memo_default": false,
-		"shared_memo_default":  false,
 	}
 }
 

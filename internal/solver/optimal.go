@@ -79,7 +79,7 @@ func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Re
 		return nil, err
 	}
 	n := p.N()
-	ev, err := newDeltaEvaluator(ctx, p)
+	ev, err := newDeltaEvaluator(p)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +248,7 @@ func NaiveExact(p *model.Problem) (*Result, error) {
 		return nil, err
 	}
 	n := p.Dims()
-	ev, err := newDeltaEvaluator(context.Background(), p)
+	ev, err := newDeltaEvaluator(p)
 	if err != nil {
 		return nil, err
 	}
