@@ -4,7 +4,8 @@
 //
 //	wrsn-plan gen -side 500 -posts 100 -nodes 600 -seed 1 > problem.json
 //
-// Solve it (algorithms: rfh, basic-rfh, idb, optimal, local-search):
+// Solve it (algorithms: rfh, basic-rfh, idb, optimal, local-search,
+// anneal, auto):
 //
 //	wrsn-plan solve -algo idb -delta 1 < problem.json > solution.json
 //
@@ -14,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -106,22 +108,23 @@ func runSolve(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	var res *wrsn.Result
 	switch *algo {
 	case "rfh":
-		res, err = wrsn.SolveRFH(p, wrsn.RFHOptions{Iterations: *iterations})
+		res, err = wrsn.SolveRFH(ctx, p, wrsn.RFHOptions{Iterations: *iterations})
 	case "basic-rfh":
-		res, err = wrsn.SolveBasicRFH(p)
+		res, err = wrsn.SolveRFH(ctx, p, wrsn.RFHOptions{Iterations: 1})
 	case "idb":
-		res, err = wrsn.SolveIDB(p, *delta)
+		res, err = wrsn.SolveIDB(ctx, p, wrsn.IDBOptions{Delta: *delta})
 	case "optimal":
-		res, err = wrsn.SolveOptimal(p, wrsn.OptimalOptions{})
+		res, err = wrsn.SolveOptimal(ctx, p, wrsn.OptimalOptions{})
 	case "local-search":
-		res, err = wrsn.SolveLocalSearch(p, wrsn.LocalSearchOptions{})
+		res, err = wrsn.SolveLocalSearch(ctx, p, wrsn.LocalSearchOptions{})
 	case "anneal":
-		res, err = wrsn.SolveAnneal(p, wrsn.AnnealOptions{Seed: 1})
+		res, err = wrsn.SolveAnneal(ctx, p, wrsn.AnnealOptions{Seed: 1})
 	case "auto":
-		res, err = wrsn.Solve(p)
+		res, err = wrsn.Solve(ctx, p)
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
@@ -261,16 +264,19 @@ func runCompare(args []string, stdin io.Reader, stdout io.Writer) error {
 		name string
 		run  func() (*wrsn.Result, error)
 	}
+	ctx := context.Background()
 	entries := []entry{
-		{"basic-rfh", func() (*wrsn.Result, error) { return wrsn.SolveBasicRFH(p) }},
-		{"rfh", func() (*wrsn.Result, error) { return wrsn.SolveIterativeRFH(p) }},
-		{"idb", func() (*wrsn.Result, error) { return wrsn.SolveIDB(p, 1) }},
-		{"local-search", func() (*wrsn.Result, error) { return wrsn.SolveLocalSearch(p, wrsn.LocalSearchOptions{}) }},
-		{"anneal", func() (*wrsn.Result, error) { return wrsn.SolveAnneal(p, wrsn.AnnealOptions{Seed: 1}) }},
+		{"basic-rfh", func() (*wrsn.Result, error) { return wrsn.SolveRFH(ctx, p, wrsn.RFHOptions{Iterations: 1}) }},
+		{"rfh", func() (*wrsn.Result, error) {
+			return wrsn.SolveRFH(ctx, p, wrsn.RFHOptions{Iterations: wrsn.DefaultRFHIterations})
+		}},
+		{"idb", func() (*wrsn.Result, error) { return wrsn.SolveIDB(ctx, p, wrsn.IDBOptions{Delta: 1}) }},
+		{"local-search", func() (*wrsn.Result, error) { return wrsn.SolveLocalSearch(ctx, p, wrsn.LocalSearchOptions{}) }},
+		{"anneal", func() (*wrsn.Result, error) { return wrsn.SolveAnneal(ctx, p, wrsn.AnnealOptions{Seed: 1}) }},
 	}
 	if *withOptimal {
 		entries = append(entries, entry{"optimal", func() (*wrsn.Result, error) {
-			return wrsn.SolveOptimal(p, wrsn.OptimalOptions{})
+			return wrsn.SolveOptimal(ctx, p, wrsn.OptimalOptions{})
 		}})
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -34,7 +35,7 @@ func fixture(t *testing.T) (problemPath, solutionJSON string) {
 			t.Fatal("no connected instance")
 		}
 	}
-	res, err := wrsn.SolveIterativeRFH(p)
+	res, err := wrsn.SolveRFH(context.Background(), p, wrsn.RFHOptions{Iterations: wrsn.DefaultRFHIterations})
 	if err != nil {
 		t.Fatal(err)
 	}

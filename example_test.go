@@ -1,6 +1,7 @@
 package wrsn_test
 
 import (
+	"context"
 	"fmt"
 
 	"wrsn"
@@ -20,13 +21,13 @@ func fixedProblem() *wrsn.Problem {
 	}
 }
 
-// ExampleSolveIterativeRFH plans deployment and routing for a small line
+// ExampleSolveRFH plans deployment and routing for a small line
 // network: with receive energy priced in,
 // post 1 (60m out) uplinks straight to the base station and carries the
 // tail of the line, so it receives the most nodes.
-func ExampleSolveIterativeRFH() {
+func ExampleSolveRFH() {
 	p := fixedProblem()
-	res, err := wrsn.SolveIterativeRFH(p)
+	res, err := wrsn.SolveRFH(context.Background(), p, wrsn.RFHOptions{Iterations: wrsn.DefaultRFHIterations})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

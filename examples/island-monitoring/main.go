@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -31,16 +32,17 @@ func main() {
 	fmt.Printf("island survey: %d posts, %d sensor nodes, base station at the shore %v\n\n",
 		p.N(), p.Nodes, p.BS)
 
+	ctx := context.Background()
 	// Plan with three solvers.
-	rfh, err := wrsn.SolveIterativeRFH(p)
+	rfh, err := wrsn.SolveRFH(ctx, p, wrsn.RFHOptions{Iterations: wrsn.DefaultRFHIterations})
 	if err != nil {
 		log.Fatal(err)
 	}
-	idb, err := wrsn.SolveIDB(p, 1)
+	idb, err := wrsn.SolveIDB(ctx, p, wrsn.IDBOptions{Delta: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	polished, err := wrsn.SolveLocalSearch(p, wrsn.LocalSearchOptions{Start: idb})
+	polished, err := wrsn.SolveLocalSearch(ctx, p, wrsn.LocalSearchOptions{Start: idb})
 	if err != nil {
 		log.Fatal(err)
 	}

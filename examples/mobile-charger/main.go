@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -33,7 +34,8 @@ func main() {
 			break
 		}
 	}
-	res, err := wrsn.SolveIterativeRFH(p)
+	ctx := context.Background()
+	res, err := wrsn.SolveRFH(ctx, p, wrsn.RFHOptions{Iterations: wrsn.DefaultRFHIterations})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -37,11 +38,12 @@ func main() {
 	// with the real heterogeneous rates.
 	naive := *p
 	naive.ReportRates = nil
-	naiveRes, err := wrsn.SolveIDB(&naive, 1)
+	ctx := context.Background()
+	naiveRes, err := wrsn.SolveIDB(ctx, &naive, wrsn.IDBOptions{Delta: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	awareRes, err := wrsn.SolveIDB(p, 1)
+	awareRes, err := wrsn.SolveIDB(ctx, p, wrsn.IDBOptions{Delta: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -44,15 +45,16 @@ func main() {
 	}
 	fmt.Printf("%-28s %10.3f µJ per reporting round\n", "uniform + min-energy routes:", baseline/1000)
 
+	ctx := context.Background()
 	// The paper's Routing-First Heuristic (7 iterations).
-	rfh, err := wrsn.SolveIterativeRFH(p)
+	rfh, err := wrsn.SolveRFH(ctx, p, wrsn.RFHOptions{Iterations: wrsn.DefaultRFHIterations})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-28s %10.3f µJ  (%.1f%% of baseline)\n", "iterative RFH:", rfh.Cost/1000, rfh.Cost/baseline*100)
 
 	// The Incremental Deployment-Based heuristic (slower, cheaper).
-	idb, err := wrsn.SolveIDB(p, 1)
+	idb, err := wrsn.SolveIDB(ctx, p, wrsn.IDBOptions{Delta: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,10 @@ import (
 // instance (matching its declared kinds) or reject it with a typed
 // UnsupportedError — never panic, hang, or mis-solve. This is the
 // registry-level contract behind -list-solvers: the declared kind list
-// and the SolveFunc's actual behaviour cannot drift apart.
+// and the SolveFunc's actual behaviour cannot drift apart. Every
+// accepted pair's cost bits and evaluation count are pinned as well, so
+// a refactor of the solvers' entry points cannot silently change a
+// result or its work accounting.
 func TestRegistryKindCoverage(t *testing.T) {
 	deployment, err := testProblem(rand.New(rand.NewSource(17)), 6, 12)
 	if err != nil {
@@ -37,6 +40,30 @@ func TestRegistryKindCoverage(t *testing.T) {
 	instances := map[string]model.Instance{
 		model.KindDeployment: deployment,
 		model.KindPlacement:  place,
+	}
+
+	type pinKey struct{ solver, kind string }
+	type pin struct {
+		costBits    uint64
+		evaluations int64
+	}
+	pins := map[pinKey]pin{
+		{"anneal", model.KindDeployment}:           {0x40752ae800000000, 823},
+		{"anneal", model.KindPlacement}:            {0x4000000000000000, 1335},
+		{"auto", model.KindDeployment}:             {0x40752ae800000000, 83},
+		{"auto", model.KindPlacement}:              {0x4000000000000000, 96},
+		{"greedy", model.KindPlacement}:            {0x4000000000000000, 51},
+		{"idb", model.KindDeployment}:              {0x40752ae800000000, 36},
+		{"idb", model.KindPlacement}:               {0x4000000000000000, 48},
+		{"idb-local-search", model.KindDeployment}: {0x40752ae800000000, 20},
+		{"idb-local-search", model.KindPlacement}:  {0x4000000000000000, 48},
+		{"idb-parallel", model.KindDeployment}:     {0x40752ae800000000, 36},
+		{"idb-parallel", model.KindPlacement}:      {0x4000000000000000, 48},
+		{"local-search", model.KindDeployment}:     {0x40752ae800000000, 26},
+		{"local-search", model.KindPlacement}:      {0x4000000000000000, 83},
+		{"optimal", model.KindDeployment}:          {0x40752ae800000000, 83},
+		{"rfh", model.KindDeployment}:              {0x40754bc555555555, 7},
+		{"rfh-iterative", model.KindDeployment}:    {0x40754bc555555555, 49},
 	}
 
 	infos := Infos()
@@ -68,6 +95,13 @@ func TestRegistryKindCoverage(t *testing.T) {
 			}
 			if math.IsNaN(res.Cost) || math.IsInf(res.Cost, 0) || res.Cost < 0 {
 				t.Errorf("solver %q on %q returned cost %g", info.Name, kind, res.Cost)
+			}
+			want, pinned := pins[pinKey{info.Name, kind}]
+			if !pinned {
+				t.Errorf("solver %q on %q has no pinned result", info.Name, kind)
+			} else if got := math.Float64bits(res.Cost); got != want.costBits || res.Evaluations != want.evaluations {
+				t.Errorf("solver %q on %q: cost bits %#x, %d evaluations; pinned %#x, %d",
+					info.Name, kind, got, res.Evaluations, want.costBits, want.evaluations)
 			}
 			switch kind {
 			case model.KindDeployment:

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -21,7 +22,7 @@ func Example() {
 		fmt.Println("generate:", err)
 		return
 	}
-	res, err := wrsn.SolveIterativeRFH(p)
+	res, err := wrsn.SolveRFH(context.Background(), p, wrsn.RFHOptions{Iterations: wrsn.DefaultRFHIterations})
 	if err != nil {
 		fmt.Println("solve:", err)
 		return

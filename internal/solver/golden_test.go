@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"testing"
 	"wrsn/internal/model"
@@ -28,27 +29,31 @@ func TestGoldenCosts(t *testing.T) {
 	}{
 		{
 			name: "iterRFH small", seed: 1, side: 200, posts: 8, nodes: 20,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return IterativeRFH(p) }),
-			want:  675.6848958333334,
+			solve: goldenSolve(func(p *problemT) (*Result, error) {
+				return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
+			}),
+			want: 675.6848958333334,
 		},
 		{
 			name: "IDB small", seed: 1, side: 200, posts: 8, nodes: 20,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return IDB(p, 1) }),
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1}) }),
 			want:  675.6848958333334,
 		},
 		{
 			name: "optimal small", seed: 1, side: 200, posts: 8, nodes: 20,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return Optimal(p, OptimalOptions{}) }),
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return Optimal(context.Background(), p, OptimalOptions{}) }),
 			want:  675.6848958333334,
 		},
 		{
 			name: "iterRFH mid", seed: 5, side: 300, posts: 20, nodes: 60,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return IterativeRFH(p) }),
-			want:  2326.5787760416670,
+			solve: goldenSolve(func(p *problemT) (*Result, error) {
+				return RFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
+			}),
+			want: 2326.5787760416670,
 		},
 		{
 			name: "IDB mid", seed: 5, side: 300, posts: 20, nodes: 60,
-			solve: goldenSolve(func(p *problemT) (*Result, error) { return IDB(p, 1) }),
+			solve: goldenSolve(func(p *problemT) (*Result, error) { return IDB(context.Background(), p, IDBOptions{Delta: 1}) }),
 			want:  2326.3769531250000,
 		},
 	}

@@ -9,7 +9,7 @@ import (
 
 // LocalSearchOptions configures LocalSearch.
 type LocalSearchOptions struct {
-	// Start seeds the search; nil runs IterativeRFH first. Any valid
+	// Start seeds the search; nil runs iterative RFH first. Any valid
 	// Result works — seeding with IDB's output polishes the best
 	// heuristic, seeding with RFH's buys most of IDB's quality at a
 	// fraction of its cost.
@@ -21,67 +21,32 @@ type LocalSearchOptions struct {
 	MaxPasses int
 }
 
-// LocalSearch is a deployment hill-climber, an extension beyond the
-// paper's two heuristics: starting from a seed solution it repeatedly
-// moves one node from its post to another when that strictly lowers the
-// minimum recharging cost (evaluated exactly — each probe is a two-move
+// LocalSearch is a hill-climber, an extension beyond the paper's two
+// heuristics: starting from a seed solution it repeatedly moves one node
+// from its post to another when that strictly lowers the minimum
+// recharging cost (evaluated exactly — each probe is a two-move
 // CostDelta repairing the standing shortest-path solution, committed on
 // acceptance), until no single-node move improves. The result is therefore
 // 1-move-optimal: a deployment where IDB-style greedy additions and
 // removals have no regrets left.
-func LocalSearch(p *model.Problem, opts LocalSearchOptions) (*Result, error) {
-	return LocalSearchCtx(context.Background(), p, opts)
-}
-
-// LocalSearchCtx is LocalSearch with cancellation: the context is
-// checked every ctxCheckStride move probes (and flows into the RFH seed
-// run), so a cancelled climb returns ctx.Err() within a handful of
-// Dijkstra runs.
-func LocalSearchCtx(ctx context.Context, p *model.Problem, opts LocalSearchOptions) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	start := opts.Start
-	if start == nil {
-		s, err := RFHCtx(ctx, p, RFHOptions{Iterations: DefaultRFHIterations})
-		if err != nil {
-			return nil, fmt.Errorf("solver: local search could not build a seed: %w", err)
-		}
-		start = s
-	}
-	if err := start.Deploy.Validate(p); err != nil {
-		return nil, fmt.Errorf("solver: invalid local-search seed: %w", err)
-	}
-	ev, err := p.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	cur := []int(start.Deploy.Clone())
-	evaluations, err := climb(ctx, p, ev, cur, opts.MaxPasses)
-	if err != nil {
-		return nil, err
-	}
-	return finishDeployment(p, ev, cur, evaluations)
-}
-
-// LocalSearchInstance runs the hill climb over any problem instance.
-// Deployment instances take the exact deployment path (RFH seeding,
-// routing tree); other kinds seed from the instance's own heuristic when
-// it provides one (falling back to the lower-bound vector) and climb the
-// same move neighbourhood, widened by single-unit adds and removals when
-// the instance has no fixed solution total.
-func LocalSearchInstance(ctx context.Context, inst model.Instance, opts LocalSearchOptions) (*Result, error) {
-	if p, ok := inst.(*model.Problem); ok {
-		return LocalSearchCtx(ctx, p, opts)
-	}
+//
+// Deployment runs seed from iterative RFH when opts.Start is nil, and
+// the reported evaluations leave the seed's out. Other kinds seed from
+// the instance's own heuristic when it provides one (falling back to the
+// lower-bound vector), count its evaluations, and climb the same move
+// neighbourhood, widened by single-unit adds and removals when the
+// instance has no fixed solution total. The context is checked every
+// ctxCheckStride move probes (and flows into the seed run), so a
+// cancelled climb returns ctx.Err() within a handful of Dijkstra runs.
+func LocalSearch(ctx context.Context, inst model.Instance, opts LocalSearchOptions) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	ev, err := inst.NewEvaluator()
+	cur, seedEvals, err := seedVector(ctx, inst, opts.Start, "local search", "local-search")
 	if err != nil {
 		return nil, err
 	}
-	cur, seedEvals, err := instanceSeed(ctx, inst, opts.Start)
+	ev, err := inst.NewEvaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -89,11 +54,29 @@ func LocalSearchInstance(ctx context.Context, inst model.Instance, opts LocalSea
 	if err != nil {
 		return nil, err
 	}
-	res, err := finishInstance(inst, cur, evaluations+seedEvals)
-	if err != nil {
-		return nil, err
+	return finish(inst, ev, cur, evaluations+seedEvals)
+}
+
+// seedVector picks the refinement solvers' starting vector. Deployment
+// starts from the caller's seed or else iterative RFH, and reports no
+// seed evaluations; name and seedName label its errors. Other kinds
+// start from instanceSeed.
+func seedVector(ctx context.Context, inst model.Instance, start *Result, name, seedName string) ([]int, int64, error) {
+	p, ok := inst.(*model.Problem)
+	if !ok {
+		return instanceSeed(ctx, inst, start)
 	}
-	return res, nil
+	if start == nil {
+		s, err := RFH(ctx, p, RFHOptions{Iterations: DefaultRFHIterations})
+		if err != nil {
+			return nil, 0, fmt.Errorf("solver: %s could not build a seed: %w", name, err)
+		}
+		start = s
+	}
+	if err := start.Deploy.Validate(p); err != nil {
+		return nil, 0, fmt.Errorf("solver: invalid %s seed: %w", seedName, err)
+	}
+	return []int(start.Deploy.Clone()), 0, nil
 }
 
 // instanceSeed picks the refinement solvers' starting vector for a

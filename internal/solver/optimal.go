@@ -50,31 +50,19 @@ const costSlack = 1e-9
 // optimum overwhelmingly takes — so the incumbent prunes aggressively.
 // Practical for the paper's small-scale comparison (Fig. 7: N<=12,
 // M<=36); use IDB or RFH beyond that.
-func Optimal(p *model.Problem, opts OptimalOptions) (*Result, error) {
-	return OptimalCtx(context.Background(), p, opts)
-}
-
-// OptimalInstance runs the exact search when the instance is the
-// deployment problem and rejects every other kind with an
-// UnsupportedError: the branch-and-bound's admissible bound assumes the
-// cost is monotone non-increasing in every dimension, which is a
-// theorem for deployment (more nodes never worsen the optimal routing)
-// and false in general — charger placement's site costs grow with every
-// added unit.
-func OptimalInstance(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Result, error) {
+//
+// Fact 2 is a theorem for deployment (more nodes never worsen the
+// optimal routing) and false in general — charger placement's site costs
+// grow with every added unit — so every instance other than the
+// deployment problem is rejected with an UnsupportedError. The context is checked on a ctxCheckStride cadence
+// inside the evaluation closure — the single funnel every search node
+// passes through — so a cancelled search unwinds and returns ctx.Err()
+// within a handful of Dijkstra runs.
+func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Result, error) {
 	p, ok := inst.(*model.Problem)
 	if !ok {
 		return nil, unsupported("optimal", inst)
 	}
-	return OptimalCtx(ctx, p, opts)
-}
-
-// OptimalCtx is Optimal with cancellation: the context is checked on a
-// ctxCheckStride cadence inside the branch-and-bound's evaluation
-// closure — the single funnel every search node passes through — so a
-// cancelled search unwinds and returns ctx.Err() within a handful of
-// Dijkstra runs.
-func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -86,7 +74,7 @@ func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Re
 
 	incumbent := opts.Incumbent
 	if incumbent == nil {
-		incumbent, err = IDBCtx(ctx, p, 1)
+		incumbent, err = IDB(ctx, p, IDBOptions{Delta: 1})
 		if err != nil {
 			return nil, fmt.Errorf("solver: optimal could not seed incumbent: %w", err)
 		}
@@ -223,20 +211,7 @@ func OptimalCtx(ctx context.Context, p *model.Problem, opts OptimalOptions) (*Re
 		return nil, budgetErr
 	}
 
-	parents, _, err := ev.bestParents(bestDeploy)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := model.NewTreeFromParents(p, parents)
-	if err != nil {
-		return nil, err
-	}
-	res, err := finalize(p, bestDeploy, tree)
-	if err != nil {
-		return nil, err
-	}
-	res.Evaluations = evaluations
-	return res, nil
+	return finishDeployment(p, ev.ev, bestDeploy, evaluations)
 }
 
 // NaiveExact exhaustively enumerates every deployment of M nodes over N
@@ -282,18 +257,5 @@ func NaiveExact(p *model.Problem) (*Result, error) {
 	if bestDeploy == nil {
 		return nil, errors.New("solver: exhaustive search found no deployment")
 	}
-	parents, _, err := ev.bestParents(bestDeploy)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := model.NewTreeFromParents(p, parents)
-	if err != nil {
-		return nil, err
-	}
-	res, err := finalize(p, bestDeploy, tree)
-	if err != nil {
-		return nil, err
-	}
-	res.Evaluations = evaluations
-	return res, nil
+	return finishDeployment(p, ev.ev, bestDeploy, evaluations)
 }

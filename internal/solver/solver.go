@@ -7,7 +7,13 @@
 // family (the paper's joint deployment-and-routing problem, static RF
 // charger placement) through the same hot loops.
 //
-// For the deployment problem the package exposes the paper's algorithms:
+// Each solver has one entry point of the form
+// X(ctx, inst, opts) (*Result, error) — RFH, IDB, LocalSearch, Anneal
+// and Optimal — plus Auto(ctx, inst) and Greedy(ctx, inst), which take
+// no options. Inside each, deployment and the other kinds differ only
+// in how the search is seeded and how its final vector becomes a
+// Result. For the deployment problem the package exposes the paper's
+// algorithms:
 //
 //   - RFH, the Routing-First Heuristic (Section V-A), in its basic
 //     (single-pass) and iterative forms — a documented structural
@@ -18,8 +24,8 @@
 //     NaiveExact, the paper's C(M-1, N-1) exhaustive search, kept as a
 //     test oracle. Their admissible bound assumes cost is monotone
 //     non-increasing in every dimension — true for deployment, false in
-//     general — so their instance entry points reject other kinds with
-//     an UnsupportedError.
+//     general — so Optimal rejects other kinds with an
+//     UnsupportedError.
 //
 // Deployment solvers return a Result whose Solution carries a validated
 // deployment, routing tree and evaluated total recharging cost; generic
@@ -122,6 +128,15 @@ func finishDeployment(p *model.Problem, ev model.Evaluator, cur []int, evaluatio
 	return res, nil
 }
 
+// finish turns a search loop's final vector into a Result: the one
+// kind switch at the end of every generic search.
+func finish(inst model.Instance, ev model.Evaluator, cur []int, evaluations int64) (*Result, error) {
+	if p, ok := inst.(*model.Problem); ok {
+		return finishDeployment(p, ev, cur, evaluations)
+	}
+	return finishInstance(inst, cur, evaluations)
+}
+
 // finishInstance turns a search loop's final vector into a generic
 // Result: the vector is validated against the instance and re-priced by
 // a fresh reference evaluator, so a buggy incremental evaluator cannot
@@ -222,12 +237,4 @@ func (d *deltaEvaluator) evalBounded(m []int, limit float64) (cost float64, prun
 	}
 	copy(d.prev, m)
 	return cost, false, nil
-}
-
-func (d *deltaEvaluator) bestParents(m []int) ([]int, float64, error) {
-	bp, ok := d.ev.(parentsProvider)
-	if !ok {
-		return nil, 0, fmt.Errorf("solver: evaluator %T cannot report parents", d.ev)
-	}
-	return bp.BestParents(m)
 }

@@ -44,7 +44,8 @@
 //		Energy:   wrsn.DefaultEnergyModel(),
 //		Charging: wrsn.DefaultChargingModel(),
 //	}
-//	res, err := wrsn.SolveIterativeRFH(p)
+//	res, err := wrsn.SolveRFH(context.Background(), p,
+//		wrsn.RFHOptions{Iterations: wrsn.DefaultRFHIterations})
 //	// res.Deploy[i] = nodes at post i; res.Tree.Parent[i] = next hop;
 //	// res.Cost = charger nJ per one-bit-per-post reporting round.
 //
@@ -156,30 +157,38 @@ func Evaluate(p *Problem, deploy Deployment, tree Tree) (float64, error) {
 	return model.Evaluate(p, deploy, tree)
 }
 
-// Solve picks the strongest solver the instance's size affords: exact
-// branch-and-bound for small networks, IDB for mid-size, iterative RFH
-// (locally polished) for large ones.
-func Solve(p *Problem) (*Result, error) { return solver.Auto(p) }
+// Solve picks the strongest solver the instance affords. Deployment
+// instances are tiered by size: exact branch-and-bound for small
+// networks, IDB for mid-size, iterative RFH (locally polished) for large
+// ones. Other problem families get IDB seeding a local search; for
+// placement instances the result's Vector holds chargers per site.
+func Solve(ctx context.Context, inst Instance) (*Result, error) { return solver.Auto(ctx, inst) }
 
-// SolveRFH runs the Routing-First Heuristic with explicit options.
-func SolveRFH(p *Problem, opts RFHOptions) (*Result, error) { return solver.RFH(p, opts) }
+// DefaultRFHIterations is the RFH round count the paper settles on
+// after its Fig. 6 convergence study; RFHOptions{Iterations: 1} is the
+// basic single-pass algorithm.
+const DefaultRFHIterations = solver.DefaultRFHIterations
 
-// SolveBasicRFH runs a single RFH round (the paper's basic algorithm).
-func SolveBasicRFH(p *Problem) (*Result, error) { return solver.BasicRFH(p) }
+// SolveRFH runs the Routing-First Heuristic — with DefaultRFHIterations
+// rounds, the recommended solver for large networks. It solves the
+// deployment problem only.
+func SolveRFH(ctx context.Context, inst Instance, opts RFHOptions) (*Result, error) {
+	return solver.RFH(ctx, inst, opts)
+}
 
-// SolveIterativeRFH runs RFH with the paper's default seven iterations —
-// the recommended solver for large networks.
-func SolveIterativeRFH(p *Problem) (*Result, error) { return solver.IterativeRFH(p) }
-
-// SolveIDB runs the Incremental Deployment-Based heuristic with the given
-// per-round increment delta (the paper compares with delta = 1). Slower
-// than RFH but typically a few percent cheaper.
-func SolveIDB(p *Problem, delta int) (*Result, error) { return solver.IDB(p, delta) }
+// SolveIDB runs the Incremental Deployment-Based heuristic with
+// per-round increment opts.Delta (the paper compares with delta = 1),
+// on a pool of opts.Workers goroutines when that exceeds 1. Slower than
+// RFH but typically a few percent cheaper; results do not depend on the
+// worker count.
+func SolveIDB(ctx context.Context, inst Instance, opts IDBOptions) (*Result, error) {
+	return solver.IDB(ctx, inst, opts)
+}
 
 // SolveOptimal computes the exact optimum by branch-and-bound; practical
-// for small instances only (roughly N <= 12, M <= 40).
-func SolveOptimal(p *Problem, opts OptimalOptions) (*Result, error) {
-	return solver.Optimal(p, opts)
+// for small deployment instances only (roughly N <= 12, M <= 40).
+func SolveOptimal(ctx context.Context, inst Instance, opts OptimalOptions) (*Result, error) {
+	return solver.Optimal(ctx, inst, opts)
 }
 
 // BestTreeFor returns the cheapest routing tree for a fixed deployment
@@ -223,20 +232,14 @@ type LocalSearchOptions = solver.LocalSearchOptions
 // AnnealOptions configures SolveAnneal.
 type AnnealOptions = solver.AnnealOptions
 
-// IDBOptions configures SolveIDBParallel.
+// IDBOptions configures SolveIDB.
 type IDBOptions = solver.IDBOptions
 
 // SolveAnneal refines a seed solution (default: iterative RFH) by
 // simulated annealing over single-node moves — unlike local search it can
 // escape 1-move-optimal basins, and it never returns worse than its seed.
-func SolveAnneal(p *Problem, opts AnnealOptions) (*Result, error) {
-	return solver.Anneal(p, opts)
-}
-
-// SolveIDBParallel is IDB with a concurrent candidate-evaluation pool;
-// results are bit-identical to SolveIDB.
-func SolveIDBParallel(p *Problem, opts IDBOptions) (*Result, error) {
-	return solver.IDBWithOptions(p, opts)
+func SolveAnneal(ctx context.Context, inst Instance, opts AnnealOptions) (*Result, error) {
+	return solver.Anneal(ctx, inst, opts)
 }
 
 // GenSpec parameterises GenerateProblem.
@@ -265,23 +268,16 @@ func ProvisionSpares(planned Deployment, survive, confidence float64) (Deploymen
 // SolveLocalSearch refines a seed solution (default: iterative RFH) by
 // exact-evaluated single-node moves until 1-move-optimal — an extension
 // beyond the paper that typically closes the RFH-to-optimal gap.
-func SolveLocalSearch(p *Problem, opts LocalSearchOptions) (*Result, error) {
-	return solver.LocalSearch(p, opts)
+func SolveLocalSearch(ctx context.Context, inst Instance, opts LocalSearchOptions) (*Result, error) {
+	return solver.LocalSearch(ctx, inst, opts)
 }
 
-// SolveInstance runs the strongest generic solver pipeline (IDB seeding
-// local search) on any problem instance — the entry point for problem
-// families beyond deployment. For deployment instances it matches Solve;
-// for placement instances the result's Vector holds chargers per site.
-func SolveInstance(inst Instance) (*Result, error) {
-	return solver.AutoInstance(context.Background(), inst)
-}
-
-// SolveGreedyPlacement runs the placement family's native construction
-// heuristic: install the best-paying charger until none pays for itself.
-// Fast and deterministic; SolveInstance typically improves on it.
-func SolveGreedyPlacement(inst *PlacementInstance) (*Result, error) {
-	return solver.GreedyInstance(context.Background(), inst)
+// SolveGreedy runs an instance's native construction heuristic — for
+// placement, install the best-paying charger until none pays for itself.
+// Fast and deterministic; Solve typically improves on it. Instances
+// without one (the deployment problem) are rejected.
+func SolveGreedy(ctx context.Context, inst Instance) (*Result, error) {
+	return solver.Greedy(ctx, inst)
 }
 
 // PlacementFromProblem derives a charger-placement instance from a

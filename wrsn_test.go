@@ -1,6 +1,7 @@
 package wrsn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,17 +31,17 @@ func exampleProblem(t testing.TB) *Problem {
 func TestFacadeEndToEnd(t *testing.T) {
 	p := exampleProblem(t)
 
-	rfh, err := SolveIterativeRFH(p)
+	rfh, err := SolveRFH(context.Background(), p, RFHOptions{Iterations: DefaultRFHIterations})
 	if err != nil {
-		t.Fatalf("SolveIterativeRFH: %v", err)
+		t.Fatalf("SolveRFH: %v", err)
 	}
-	idb, err := SolveIDB(p, 1)
+	idb, err := SolveIDB(context.Background(), p, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatalf("SolveIDB: %v", err)
 	}
-	basic, err := SolveBasicRFH(p)
+	basic, err := SolveRFH(context.Background(), p, RFHOptions{Iterations: 1})
 	if err != nil {
-		t.Fatalf("SolveBasicRFH: %v", err)
+		t.Fatalf("SolveRFH (basic): %v", err)
 	}
 	if idb.Cost > rfh.Cost+1e-6 || rfh.Cost > basic.Cost+1e-6 {
 		t.Errorf("expected IDB <= iterative RFH <= basic RFH, got %.4f / %.4f / %.4f",
@@ -94,11 +95,11 @@ func TestFacadeOptimalSmall(t *testing.T) {
 			break
 		}
 	}
-	opt, err := SolveOptimal(p, OptimalOptions{})
+	opt, err := SolveOptimal(context.Background(), p, OptimalOptions{})
 	if err != nil {
 		t.Fatalf("SolveOptimal: %v", err)
 	}
-	idb, err := SolveIDB(p, 1)
+	idb, err := SolveIDB(context.Background(), p, IDBOptions{Delta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,15 +168,15 @@ func TestFacadeBaselinesAndReport(t *testing.T) {
 
 func TestFacadeSolveAndAnneal(t *testing.T) {
 	p := exampleProblem(t)
-	auto, err := Solve(p)
+	auto, err := Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann, err := SolveAnneal(p, AnnealOptions{Seed: 2, Iterations: 1500})
+	ann, err := SolveAnneal(context.Background(), p, AnnealOptions{Seed: 2, Iterations: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idbPar, err := SolveIDBParallel(p, IDBOptions{Delta: 1, Workers: 2})
+	idbPar, err := SolveIDB(context.Background(), p, IDBOptions{Delta: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
