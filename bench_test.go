@@ -391,8 +391,11 @@ func BenchmarkSolveLocalSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveIDBParallel measures the concurrent IDB at Fig. 8 scale;
-// compare against BenchmarkSolveIDB for the speedup.
+// BenchmarkSolveIDBParallel measures IDB with its single-unit rounds
+// spread over GOMAXPROCS workers, at Fig. 8 scale (100 posts). That is
+// near the pool's break-even with sequential IDB on two cores, so expect
+// no clear speedup over BenchmarkSolveIDB here; DESIGN §7 records where
+// the pool pays.
 func BenchmarkSolveIDBParallel(b *testing.B) {
 	p := benchProblem(b, 1, 500, 100, 600)
 	b.ResetTimer()

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// BenchmarkIDB measures the full IDB(context.Background(), 1, IDBOptions{Delta: None}) heuristic — the library's
-// dominant workload — on a mid-size instance, deltas probed through the
-// incremental evaluator. Allocations are reported so regressions in the
-// evaluator's steady state (which must stay allocation-free per probe)
-// surface as allocs/op growth here.
+// BenchmarkIDB measures the full δ=1 IDB heuristic — the library's
+// dominant workload — on a mid-size instance (100 rounds), deltas probed
+// through the incremental evaluator. Allocations are reported so
+// regressions in the evaluator's steady state (which must stay
+// allocation-free per probe) and in IDB's round loop surface as
+// allocs/op growth here; CI fails the run above 500 allocs/op.
 func BenchmarkIDB(b *testing.B) {
 	p := randomProblem(b, 1, 350, 50, 150)
 	b.ReportAllocs()

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"wrsn/internal/deploy"
 	"wrsn/internal/model"
@@ -18,13 +19,14 @@ const ctxCheckStride = 64
 type IDBOptions struct {
 	// Delta is the per-round node increment (>= 1; the paper uses 1).
 	Delta int
-	// Workers is the number of goroutines evaluating candidate
-	// placements concurrently; <= 1 runs sequentially. Each worker
-	// carries its own evaluator (the protocol is not concurrency-safe),
-	// so memory scales with workers while results remain bit-identical
-	// to the sequential run (the winning candidate is the cost-minimal
-	// one, ties broken by lexicographically smallest placement — the
-	// same candidate the sequential enumeration finds first).
+	// Workers is the number of evaluators pricing a single-unit round's
+	// candidates concurrently; <= 1 prices them inline. It applies at
+	// Delta 1 on every problem family, free-total growth included;
+	// rounds spreading more than one unit scan their compositions
+	// sequentially. Each worker carries its own evaluator (the protocol
+	// is not concurrency-safe), so memory scales with workers, while
+	// costs, solutions and evaluation counts stay bit-identical to the
+	// sequential run.
 	Workers int
 }
 
@@ -42,17 +44,15 @@ type IDBOptions struct {
 // The same incremental growth solves every problem family: with a fixed
 // solution total the rounds spread it as for deployment, without one
 // the search greedily adds the single best unit per round while that
-// strictly improves the cost. IDB's inner loop — one evaluation per
-// candidate per round — is embarrassingly parallel, and at the paper's
-// large scales (Figs. 8-10) it dominates total runtime, so opts.Workers
-// > 1 farms each round's candidates out to a pool. Free-total instances
-// always run sequentially: their rounds probe only one unit-add per
-// dimension, too little work to farm out.
+// strictly improves the cost. Each round is one of two kinds. A
+// single-unit round (every round at delta 1, a short final round, every
+// free-total round) is priced by one striped scan over opts.Workers
+// evaluators; see idbRounds. A composition round (delta > 1) scans
+// every composition sequentially on one evaluator.
 //
 // The context is checked at every round boundary and every
-// ctxCheckStride candidate evaluations (by every worker, in the pool),
-// so a cancelled run returns ctx.Err() within a handful of Dijkstra
-// runs.
+// ctxCheckStride candidates (by every worker), so a cancelled run
+// returns ctx.Err() within a handful of Dijkstra runs.
 func IDB(ctx context.Context, inst model.Instance, opts IDBOptions) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -61,26 +61,49 @@ func IDB(ctx context.Context, inst model.Instance, opts IDBOptions) (*Result, er
 		return nil, fmt.Errorf("solver: IDB delta must be >= 1, got %d", opts.Delta)
 	}
 	workers := 1
-	if _, fixed := inst.FixedTotal(); fixed && opts.Workers > 1 {
-		workers = opts.Workers
+	if opts.Workers > 1 && opts.Delta == 1 {
+		// A worker beyond the dimension count would own an empty stripe.
+		workers = min(opts.Workers, inst.Dims())
 	}
-	evaluators, err := newEvaluators(inst, workers)
+	cur := model.LowerBoundVector(inst)
+	s, curCost, err := newIDBRounds(inst, cur, workers)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		cur         []int
-		evaluations int64
-	)
-	if workers > 1 {
-		cur, evaluations, err = idbParallelSearch(ctx, inst, evaluators, opts.Delta)
-	} else {
-		cur, evaluations, err = idbSearch(ctx, inst, evaluators[0], opts.Delta)
+	total, fixed := inst.FixedTotal()
+	remaining := total
+	for _, c := range cur {
+		remaining -= c
 	}
-	if err != nil {
-		return nil, err
+	for !fixed || remaining > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if step := min(opts.Delta, remaining); fixed && step > 1 {
+			if err := s.compositionRound(ctx, cur, step); err != nil {
+				return nil, err
+			}
+			remaining -= step
+			continue
+		}
+		bestI, bestCost, err := s.unitRound(ctx, cur)
+		if err != nil {
+			return nil, err
+		}
+		if !fixed && (bestI < 0 || bestCost >= curCost-costSlack) {
+			break // free total: no unit strictly improves the cost
+		}
+		if bestI < 0 {
+			return nil, fmt.Errorf("solver: IDB round evaluated no candidates (delta=1)")
+		}
+		if err := s.commitUnit(bestI); err != nil {
+			return nil, err
+		}
+		cur[bestI]++
+		curCost = bestCost
+		remaining--
 	}
-	return finish(inst, evaluators[0], cur, evaluations)
+	return finish(inst, s.evs[0], cur, s.evaluations)
 }
 
 // upperBounds materialises inst's per-dimension upper bounds so the hot
@@ -93,38 +116,175 @@ func upperBounds(inst model.Instance) []int {
 	return ub
 }
 
-// idbSearch is the IDB hot loop over the instance/evaluator seam: it
-// grows the solution from the instance's lower bounds and returns the
-// final vector and the candidate evaluation count. It touches no
-// deployment state; IDB owns validation and result assembly.
-func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, delta int) ([]int, int64, error) {
-	n := inst.Dims()
-	cur := model.LowerBoundVector(inst)
-	curCost, err := ev.Cost(cur)
-	if err != nil {
-		return nil, 0, err
+// idbRounds is IDB's per-run search state: one evaluator per worker,
+// each on the committed vector, and the candidate evaluation count.
+//
+// A single-unit round prices every candidate "add one unit to dimension
+// i" by a striped scan: evaluator w owns the candidates i ≡ w (mod
+// workers) and keeps their probes in its own probe cache. Whether a
+// candidate is re-priced from its cached patch (not counted as an
+// evaluation — no repair ran) or re-probed therefore depends only on
+// the committed move sequence, exactly as with one evaluator, so costs
+// and evaluation counts are bit-identical at any worker count. Each
+// evaluator writes its costs into its own entries of costs, and one
+// sequential pass over i = n-1 .. 0 picks the winner. Merging
+// per-worker bests pairwise instead would not be safe: within costSlack
+// the comparison is not transitive, so a tie chain could resolve
+// differently from the sequential scan. The winner is then committed
+// into every evaluator, promoted from the cache where it is held.
+type idbRounds struct {
+	ub     []int
+	evs    []model.Evaluator
+	caches []model.ProbeCache // caches[w] is evs[w]'s probe cache, or nil
+	// moves is each evaluator's one-move probe buffer. Keeping it here,
+	// not on the stack, stops it escaping through the CostDelta
+	// interface call into one heap allocation per round.
+	moves       [][1]model.Move
+	costs       []float64 // costs[i]: single-unit candidate i's cost this round
+	counts      []int64   // fresh probes per evaluator this round
+	errs        []error   // first failure per evaluator this round
+	evaluations int64
+}
+
+// newIDBRounds builds workers evaluators on cur with their probe caches
+// enabled, and returns cur's cost.
+func newIDBRounds(inst model.Instance, cur []int, workers int) (*idbRounds, float64, error) {
+	n := len(cur)
+	s := &idbRounds{
+		ub:     upperBounds(inst),
+		evs:    make([]model.Evaluator, workers),
+		caches: make([]model.ProbeCache, workers),
+		moves:  make([][1]model.Move, workers),
+		costs:  make([]float64, n),
+		counts: make([]int64, workers),
+		errs:   make([]error, workers),
 	}
-	ub := upperBounds(inst)
-	var evaluations int64
-	moves := make([]model.Move, 0, delta)
-	// Dirty-candidate pruning: with a probe cache, each single-unit
-	// candidate's repair is snapshotted under its post id; rounds after
-	// a commit re-probe only the candidates the commit's dirty region
-	// could have changed and re-price the rest bit-exactly from their
-	// cached patch (not counted as evaluations — no repair ran).
-	pc, _ := ev.(model.ProbeCache)
-	if pc != nil {
-		pc.EnableProbeCache(n)
-	}
-	total, fixedTotal := inst.FixedTotal()
-	if !fixedTotal {
-		if err := idbGrow(ctx, inst, ev, pc, cur, curCost, ub, &evaluations); err != nil {
+	var curCost float64
+	for w := range s.evs {
+		ev, err := inst.NewEvaluator()
+		if err != nil {
 			return nil, 0, err
 		}
-		return cur, evaluations, nil
+		if curCost, err = ev.Cost(cur); err != nil {
+			return nil, 0, err
+		}
+		if pc, ok := ev.(model.ProbeCache); ok {
+			pc.EnableProbeCache(n)
+			s.caches[w] = pc
+		}
+		s.evs[w] = ev
 	}
+	return s, curCost, nil
+}
 
-	bestExtra := make([]int, n)
+// unitRound prices every single-unit candidate with headroom and
+// returns the winner — the cheapest, ties within costSlack kept by the
+// largest index, which is the order ForEachComposition(n, 1) visits —
+// or bestI = -1 when no dimension has headroom.
+func (s *idbRounds) unitRound(ctx context.Context, cur []int) (bestI int, bestCost float64, err error) {
+	if len(s.evs) == 1 {
+		s.scanStripe(ctx, 0, cur)
+	} else {
+		var wg sync.WaitGroup
+		for w := range s.evs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.scanStripe(ctx, w, cur)
+			}()
+		}
+		wg.Wait()
+	}
+	for w := range s.evs {
+		s.evaluations += s.counts[w]
+		s.counts[w] = 0
+		if err := s.errs[w]; err != nil {
+			return -1, 0, err
+		}
+	}
+	bestI = -1
+	for i := len(cur) - 1; i >= 0; i-- {
+		if cur[i]+1 > s.ub[i] {
+			continue
+		}
+		if bestI < 0 || s.costs[i] < bestCost-costSlack {
+			bestI = i
+			bestCost = s.costs[i]
+		}
+	}
+	return bestI, bestCost, nil
+}
+
+// scanStripe prices evaluator w's candidates into s.costs, from its
+// largest owned index down.
+func (s *idbRounds) scanStripe(ctx context.Context, w int, cur []int) {
+	n, workers := len(cur), len(s.evs)
+	ev, pc, mv := s.evs[w], s.caches[w], s.moves[w][:]
+	var seen int64
+	for i := w + (n-1-w)/workers*workers; i >= 0; i -= workers {
+		if cur[i]+1 > s.ub[i] {
+			continue
+		}
+		seen++
+		if seen%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				s.errs[w] = err
+				return
+			}
+		}
+		if pc != nil {
+			if cost, ok := pc.CachedCost(i); ok {
+				s.costs[i] = cost
+				continue
+			}
+		}
+		mv[0] = model.Move{Post: i, Delta: 1}
+		cost, err := ev.CostDelta(mv)
+		s.counts[w]++
+		if err != nil {
+			s.errs[w] = err
+			return
+		}
+		if pc != nil {
+			pc.CacheProbe(i)
+		}
+		if err := ev.Revert(); err != nil {
+			s.errs[w] = err
+			return
+		}
+		s.costs[i] = cost
+	}
+}
+
+// commitUnit commits "add one unit to dimension i" into every
+// evaluator: the probe-promoting commit where its cache still holds the
+// probe, otherwise a re-probe (not counted as an evaluation) and
+// Commit.
+func (s *idbRounds) commitUnit(i int) error {
+	for w, ev := range s.evs {
+		if pc := s.caches[w]; pc != nil {
+			if _, ok := pc.CommitCached(i); ok {
+				continue
+			}
+		}
+		mv := s.moves[w][:]
+		mv[0] = model.Move{Post: i, Delta: 1}
+		if _, err := ev.CostDelta(mv); err != nil {
+			return err
+		}
+		if err := ev.Commit(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// compositionRound spreads step > 1 units over cur: it prices every
+// feasible composition on the first evaluator in ForEachComposition's
+// lexicographic order, keeps the cheapest by less, and commits it.
+func (s *idbRounds) compositionRound(ctx context.Context, cur []int, step int) error {
+	ev := s.evs[0]
+	var moves []model.Move
 	extraMoves := func(extra []int) []model.Move {
 		moves = moves[:0]
 		for i, e := range extra {
@@ -134,229 +294,72 @@ func idbSearch(ctx context.Context, inst model.Instance, ev model.Evaluator, del
 		}
 		return moves
 	}
-	remaining := total
-	for _, c := range cur {
-		remaining -= c
+	bestExtra := make([]int, len(cur))
+	bestCost, found := 0.0, false
+	var evalErr error
+	err := deploy.ForEachComposition(len(cur), step, func(extra []int) bool {
+		for i, e := range extra {
+			if e != 0 && cur[i]+e > s.ub[i] {
+				return true // infeasible candidate (never for deployment)
+			}
+		}
+		if s.evaluations%ctxCheckStride == 0 {
+			if evalErr = ctx.Err(); evalErr != nil {
+				return false
+			}
+		}
+		var cost float64
+		cost, evalErr = ev.CostDelta(extraMoves(extra))
+		s.evaluations++
+		if evalErr != nil {
+			return false
+		}
+		if evalErr = ev.Revert(); evalErr != nil {
+			return false
+		}
+		if !found || less(cost, extra, bestCost, bestExtra) {
+			found = true
+			bestCost = cost
+			copy(bestExtra, extra)
+		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
-	for remaining > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		step := delta
-		if step > remaining {
-			step = remaining
-		}
-		bestCost := -1.0
-		found := false
-		if step == 1 {
-			// δ=1 fast path (the paper's comparisons all run here): a
-			// one-node composition is just "post i gets the node", and
-			// ForEachComposition(n, 1) enumerates i = n-1 .. 0, so the
-			// inline loop below visits the identical candidate order
-			// without the O(n) composition-successor and extra-move
-			// scans per candidate. Replacing only on
-			// cost < bestCost-costSlack is exactly less(): the
-			// first-seen placement (largest i) is the lexicographically
-			// smallest extra vector, so every tie keeps the incumbent.
-			// The upper-bound guard never fires for deployment (one
-			// post at its cap forces all others to their floor, leaving
-			// nothing to place), so the deployment path is unchanged.
-			bestI := -1
-			mv := moves[:1] // reuse the shared move buffer (cap >= delta >= 1)
-			for i := n - 1; i >= 0; i-- {
-				if cur[i]+1 > ub[i] {
-					continue
-				}
-				if pc != nil {
-					if cost, ok := pc.CachedCost(i); ok {
-						// Bit-identical to re-probing (the cache proves
-						// nothing this candidate read has changed), so
-						// selection is unchanged; no repair ran, so it
-						// does not count as an evaluation.
-						if bestI < 0 || cost < bestCost-costSlack {
-							bestI = i
-							bestCost = cost
-						}
-						continue
-					}
-				}
-				if evaluations%ctxCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, 0, err
-					}
-				}
-				mv[0] = model.Move{Post: i, Delta: 1}
-				cost, evalErr := ev.CostDelta(mv)
-				evaluations++
-				if evalErr != nil {
-					return nil, 0, evalErr
-				}
-				if pc != nil {
-					pc.CacheProbe(i)
-				}
-				if evalErr := ev.Revert(); evalErr != nil {
-					return nil, 0, evalErr
-				}
-				if bestI < 0 || cost < bestCost-costSlack {
-					bestI = i
-					bestCost = cost
-				}
-			}
-			if bestI >= 0 {
-				found = true
-				for i := range bestExtra {
-					bestExtra[i] = 0
-				}
-				bestExtra[bestI] = 1
-			}
-		} else {
-			var evalFailure error
-			loopErr := deploy.ForEachComposition(n, step, func(extra []int) bool {
-				for i, e := range extra {
-					if e != 0 && cur[i]+e > ub[i] {
-						return true // infeasible candidate (never for deployment)
-					}
-				}
-				if evaluations%ctxCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						evalFailure = err
-						return false
-					}
-				}
-				cost, evalErr := ev.CostDelta(extraMoves(extra))
-				evaluations++
-				if evalErr != nil {
-					evalFailure = evalErr // impossible once the instance validated; keep the loop honest
-					return false
-				}
-				if evalErr := ev.Revert(); evalErr != nil {
-					evalFailure = evalErr
-					return false
-				}
-				// Order by (cost, lexicographic placement) — the same
-				// comparator the parallel variant merges with, so both
-				// produce identical deployments.
-				if !found || less(cost, extra, bestCost, bestExtra) {
-					found = true
-					bestCost = cost
-					copy(bestExtra, extra)
-				}
-				return true
-			})
-			if loopErr != nil {
-				return nil, 0, loopErr
-			}
-			if evalFailure != nil {
-				return nil, 0, evalFailure
-			}
-		}
-		if !found {
-			return nil, 0, fmt.Errorf("solver: IDB round evaluated no candidates (delta=%d)", step)
-		}
-		// Commit the round winner: promote its cached probe when the
-		// cache still holds it (the probe-promoting commit — no second
-		// repair), otherwise re-probe its moves (not counted as a
-		// candidate evaluation) and accept, making it the next round's
-		// base.
-		committed := false
-		if pc != nil && step == 1 {
-			_, committed = pc.CommitCached(winnerPost(bestExtra))
-		}
-		if !committed {
-			if _, err := ev.CostDelta(extraMoves(bestExtra)); err != nil {
-				return nil, 0, err
-			}
-			if err := ev.Commit(); err != nil {
-				return nil, 0, err
-			}
-		}
-		for i, e := range bestExtra {
-			cur[i] += e
-		}
-		remaining -= step
+	if evalErr != nil {
+		return evalErr
 	}
-	return cur, evaluations, nil
+	if !found {
+		return fmt.Errorf("solver: IDB round evaluated no candidates (delta=%d)", step)
+	}
+	if _, err := ev.CostDelta(extraMoves(bestExtra)); err != nil {
+		return err
+	}
+	if err := ev.Commit(); err != nil {
+		return err
+	}
+	for i, e := range bestExtra {
+		cur[i] += e
+	}
+	return nil
 }
 
-// winnerPost returns the single incremented post of a δ=1 round's extra
-// vector (-1 if none).
-func winnerPost(extra []int) int {
-	for i, e := range extra {
-		if e != 0 {
-			return i
+// less orders candidates by (cost, lexicographic placement), so a
+// composition round commits the first-enumerated of any tie. Cost
+// comparisons use costSlack so floating-point noise cannot flip the
+// placement order.
+func less(costA float64, extraA []int, costB float64, extraB []int) bool {
+	if costA < costB-costSlack {
+		return true
+	}
+	if costA > costB+costSlack {
+		return false
+	}
+	for i := range extraA {
+		if extraA[i] != extraB[i] {
+			return extraA[i] < extraB[i]
 		}
 	}
-	return -1
-}
-
-// idbGrow is IDB's free-total variant: with no fixed solution sum there
-// is no node budget to spread, so each round probes adding one unit to
-// every dimension with headroom and commits the cheapest while it
-// strictly improves on the committed cost. The unit-wise growth mirrors
-// the δ=1 path's candidate order and tie-breaking.
-func idbGrow(ctx context.Context, inst model.Instance, ev model.Evaluator, pc model.ProbeCache, cur []int, curCost float64, ub []int, evaluations *int64) error {
-	n := inst.Dims()
-	mv := make([]model.Move, 1)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		bestI := -1
-		bestCost := -1.0
-		for i := n - 1; i >= 0; i-- {
-			if cur[i]+1 > ub[i] {
-				continue
-			}
-			if pc != nil {
-				if cost, ok := pc.CachedCost(i); ok {
-					if bestI < 0 || cost < bestCost-costSlack {
-						bestI = i
-						bestCost = cost
-					}
-					continue
-				}
-			}
-			if *evaluations%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			mv[0] = model.Move{Post: i, Delta: 1}
-			cost, err := ev.CostDelta(mv)
-			*evaluations++
-			if err != nil {
-				return err
-			}
-			if pc != nil {
-				pc.CacheProbe(i)
-			}
-			if err := ev.Revert(); err != nil {
-				return err
-			}
-			if bestI < 0 || cost < bestCost-costSlack {
-				bestI = i
-				bestCost = cost
-			}
-		}
-		if bestI < 0 || bestCost >= curCost-costSlack {
-			return nil
-		}
-		if pc != nil {
-			if cost, ok := pc.CommitCached(bestI); ok {
-				cur[bestI]++
-				curCost = cost
-				continue
-			}
-		}
-		mv[0] = model.Move{Post: bestI, Delta: 1}
-		cost, err := ev.CostDelta(mv)
-		if err != nil {
-			return err
-		}
-		if err := ev.Commit(); err != nil {
-			return err
-		}
-		cur[bestI]++
-		curCost = cost
-	}
+	return false
 }

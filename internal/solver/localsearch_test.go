@@ -2,8 +2,10 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"wrsn/internal/model"
@@ -113,33 +115,128 @@ func TestLocalSearchRejectsBadSeed(t *testing.T) {
 	}
 }
 
+// TestIDBParallelMatchesSequential pins the striped single-unit scan:
+// at any worker count IDB returns the sequential run's cost bits,
+// vector and evaluation count, on both problem families (placement's
+// free-total rounds run on the pool too) and with more workers than
+// dimensions.
 func TestIDBParallelMatchesSequential(t *testing.T) {
+	check := func(label string, inst model.Instance, delta, workers int) {
+		t.Helper()
+		seq, err := IDB(context.Background(), inst, IDBOptions{Delta: delta})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		par, err := IDB(context.Background(), inst, IDBOptions{Delta: delta, Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %d workers: %v", label, workers, err)
+		}
+		if math.Float64bits(seq.Cost) != math.Float64bits(par.Cost) {
+			t.Errorf("%s: %d-worker cost %.17g != sequential %.17g", label, workers, par.Cost, seq.Cost)
+		}
+		if !slices.Equal(seq.Vector, par.Vector) || !slices.Equal(seq.Deploy, par.Deploy) {
+			t.Errorf("%s: %d-worker solution %v%v != sequential %v%v",
+				label, workers, par.Vector, par.Deploy, seq.Vector, seq.Deploy)
+		}
+		if seq.Evaluations != par.Evaluations {
+			t.Errorf("%s: %d-worker evaluations %d != sequential %d",
+				label, workers, par.Evaluations, seq.Evaluations)
+		}
+	}
 	for seed := int64(1); seed <= 4; seed++ {
 		p := randomProblem(t, seed+90, 250, 20, 70)
 		for _, delta := range []int{1, 3} {
-			seq, err := IDB(context.Background(), p, IDBOptions{Delta: delta})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := IDB(context.Background(), p, IDBOptions{Delta: delta, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(seq.Cost-par.Cost) > costEps {
-				t.Errorf("seed %d delta %d: parallel cost %.6f != sequential %.6f",
-					seed, delta, par.Cost, seq.Cost)
-			}
-			for i := range seq.Deploy {
-				if seq.Deploy[i] != par.Deploy[i] {
-					t.Errorf("seed %d delta %d: deployments differ at post %d (%d vs %d)",
-						seed, delta, i, seq.Deploy[i], par.Deploy[i])
-					break
-				}
-			}
-			if seq.Evaluations != par.Evaluations {
-				t.Errorf("seed %d delta %d: evaluation counts differ: %d vs %d",
-					seed, delta, seq.Evaluations, par.Evaluations)
-			}
+			check(fmt.Sprintf("deployment seed %d delta %d", seed, delta), p, delta, 4)
+		}
+		check(fmt.Sprintf("placement seed %d", seed), testPlacementInstance(t, seed), 1, 4)
+	}
+	check("3 posts", randomProblem(t, 96, 100, 3, 12), 1, 8)
+}
+
+// tieInstance is a scripted one-round instance: three dimensions in
+// [0,1] summing to 1, where adding the unit to dimension i costs
+// unit[i] (tieEvaluator).
+type tieInstance struct{ unit []float64 }
+
+func (ti tieInstance) Kind() string            { return "tie-chain" }
+func (ti tieInstance) Dims() int               { return len(ti.unit) }
+func (ti tieInstance) LowerBound(int) int      { return 0 }
+func (ti tieInstance) UpperBound(int) int      { return 1 }
+func (ti tieInstance) FixedTotal() (int, bool) { return 1, true }
+func (ti tieInstance) NewEvaluator() (model.Evaluator, error) {
+	return &tieEvaluator{unit: ti.unit}, nil
+}
+func (ti tieInstance) NewReferenceEvaluator() (model.Evaluator, error) { return ti.NewEvaluator() }
+func (ti tieInstance) EncodeSolution(m []int) string                   { return model.EncodeCounts(m) }
+func (ti tieInstance) Validate() error                                 { return model.CheckInstanceBounds(ti) }
+
+func (ti tieInstance) ValidateSolution(m []int) error {
+	sum := 0
+	for i, v := range m {
+		if v < 0 || v > 1 {
+			return fmt.Errorf("dimension %d count %d outside [0,1]", i, v)
+		}
+		sum += v
+	}
+	if len(m) != ti.Dims() || sum != 1 {
+		return fmt.Errorf("solution %v is not one unit over %d dimensions", m, ti.Dims())
+	}
+	return nil
+}
+
+// tieEvaluator prices a vector as the sum of its units' scripted costs.
+type tieEvaluator struct {
+	unit         []float64
+	cur, pending []int
+}
+
+func (e *tieEvaluator) price(m []int) float64 {
+	cost := 0.0
+	for i, v := range m {
+		cost += float64(v) * e.unit[i]
+	}
+	return cost
+}
+
+func (e *tieEvaluator) Cost(m []int) (float64, error) {
+	e.cur = append(e.cur[:0], m...)
+	return e.price(m), nil
+}
+
+func (e *tieEvaluator) CostDelta(moves []model.Move) (float64, error) {
+	e.pending = append(e.pending[:0], e.cur...)
+	for _, mv := range moves {
+		e.pending[mv.Post] += mv.Delta
+	}
+	return e.price(e.pending), nil
+}
+
+func (e *tieEvaluator) Commit() error {
+	e.cur, e.pending = e.pending, e.cur
+	return nil
+}
+
+func (e *tieEvaluator) Revert() error { return nil }
+
+// TestIDBParallelTieChain: single-unit costs a, a-0.6·costSlack and
+// a-1.2·costSlack for posts 2, 1 and 0 form a tie chain — each
+// neighbour pair ties within costSlack, the ends do not. The sequential
+// scan (posts 2, 1, 0) keeps post 2 over post 1 and then takes post 0;
+// merging per-worker bests pairwise could end on post 1 or 2 instead.
+// Every worker count must commit post 0.
+func TestIDBParallelTieChain(t *testing.T) {
+	const a = 10.0
+	inst := tieInstance{unit: []float64{a - 1.2*costSlack, a - 0.6*costSlack, a}}
+	if !less(inst.unit[1], []int{0, 1, 0}, inst.unit[0], []int{1, 0, 0}) {
+		t.Fatal("scripted costs are not a tie chain: post 1 does not beat post 0 pairwise")
+	}
+	for _, workers := range []int{1, 2, 3} {
+		res, err := IDB(context.Background(), inst, IDBOptions{Delta: 1, Workers: workers})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if !slices.Equal(res.Vector, []int{1, 0, 0}) {
+			t.Errorf("%d workers committed %v, want post 0 ([1 0 0])", workers, res.Vector)
 		}
 	}
 }

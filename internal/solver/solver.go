@@ -182,6 +182,18 @@ func newDeltaEvaluator(inst model.Instance) (*deltaEvaluator, error) {
 	return &deltaEvaluator{ev: ev, prev: make([]int, inst.Dims())}, nil
 }
 
+// diff returns the moves taking the previous vector to m, in a buffer
+// reused by the next call.
+func (d *deltaEvaluator) diff(m []int) []model.Move {
+	d.moves = d.moves[:0]
+	for i, mi := range m {
+		if mi != d.prev[i] {
+			d.moves = append(d.moves, model.Move{Post: i, Delta: mi - d.prev[i]})
+		}
+	}
+	return d.moves
+}
+
 // eval prices m, committing it as the base for the next diff.
 func (d *deltaEvaluator) eval(m []int) (float64, error) {
 	if !d.have {
@@ -193,13 +205,7 @@ func (d *deltaEvaluator) eval(m []int) (float64, error) {
 		d.have = true
 		return cost, nil
 	}
-	d.moves = d.moves[:0]
-	for i, mi := range m {
-		if mi != d.prev[i] {
-			d.moves = append(d.moves, model.Move{Post: i, Delta: mi - d.prev[i]})
-		}
-	}
-	cost, err := d.ev.CostDelta(d.moves)
+	cost, err := d.ev.CostDelta(d.diff(m))
 	if err != nil {
 		return 0, err
 	}
@@ -222,13 +228,7 @@ func (d *deltaEvaluator) evalBounded(m []int, limit float64) (cost float64, prun
 		cost, err = d.eval(m)
 		return cost, false, err
 	}
-	d.moves = d.moves[:0]
-	for i, mi := range m {
-		if mi != d.prev[i] {
-			d.moves = append(d.moves, model.Move{Post: i, Delta: mi - d.prev[i]})
-		}
-	}
-	cost, pruned, err = bp.CostDeltaBounded(d.moves, limit)
+	cost, pruned, err = bp.CostDeltaBounded(d.diff(m), limit)
 	if err != nil || pruned {
 		return 0, pruned, err
 	}

@@ -177,8 +177,9 @@ func SolveRFH(ctx context.Context, inst Instance, opts RFHOptions) (*Result, err
 }
 
 // SolveIDB runs the Incremental Deployment-Based heuristic with
-// per-round increment opts.Delta (the paper compares with delta = 1),
-// on a pool of opts.Workers goroutines when that exceeds 1. Slower than
+// per-round increment opts.Delta (the paper compares with delta = 1).
+// At delta 1, opts.Workers > 1 prices each round's candidates on that
+// many goroutines; larger deltas always scan sequentially. Slower than
 // RFH but typically a few percent cheaper; results do not depend on the
 // worker count.
 func SolveIDB(ctx context.Context, inst Instance, opts IDBOptions) (*Result, error) {
