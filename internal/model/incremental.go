@@ -113,6 +113,13 @@ type IncrementalEvaluator struct {
 	dirtyMask  []uint64
 	patchSaved []float64
 
+	// RelaxedBound scratch (nil until first use; see relaxed.go):
+	// recipBelow's cache by node count, the count each post's weights
+	// were derived for, and the relaxed vertices.
+	recipTab   []float64
+	relaxM     []int
+	relaxVerts []relaxVertex
+
 	stats EvalStats
 }
 

@@ -84,3 +84,45 @@ func TestDeadlineExceededPropagates(t *testing.T) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 }
+
+// flipCtx is a context whose Err is nil for its first ok calls and
+// context.DeadlineExceeded from then on: a deadline expiring at an exact,
+// machine-independent point inside a solver.
+type flipCtx struct {
+	context.Context
+	ok, calls int
+}
+
+func (c *flipCtx) Err() error {
+	c.calls++
+	if c.calls > c.ok {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestRFHHonoursDeadlineInsideRound: basic RFH runs a single round, so a
+// deadline that expires inside it must still surface as
+// context.DeadlineExceeded rather than a late result. The sweep moves
+// the expiry across every check RFH makes: each one must be honoured,
+// and the run that first succeeds must have seen only nil errors.
+func TestRFHHonoursDeadlineInsideRound(t *testing.T) {
+	p := randomProblem(t, 504, 200, 8, 20)
+	for ok := 1; ; ok++ {
+		ctx := &flipCtx{Context: context.Background(), ok: ok}
+		res, err := RFH(ctx, p, RFHOptions{Iterations: 1})
+		if err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) || res != nil {
+				t.Fatalf("expiry after %d checks: got (%v, %v), want (nil, context.DeadlineExceeded)", ok, res, err)
+			}
+			continue
+		}
+		if ok == 1 {
+			t.Fatal("RFH returned a result although the deadline expired after its first context check")
+		}
+		if ctx.calls != ok {
+			t.Fatalf("RFH returned a result after %d context checks, %d of them past the deadline", ctx.calls, ctx.calls-ok)
+		}
+		return
+	}
+}

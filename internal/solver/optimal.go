@@ -14,8 +14,9 @@ import (
 type OptimalOptions struct {
 	// MaxEvaluations aborts the search after this many *completed*
 	// deployment evaluations (bound probes + leaves; probes the bounded
-	// evaluator abandons mid-settle never produce a cost and do not
-	// count — the same semantics as the Result.Evaluations counter);
+	// evaluator abandons mid-settle or a relaxed bound certifies never
+	// produce a cost and do not count — the same semantics as the
+	// Result.Evaluations counter);
 	// 0 means unlimited. When the search aborts, ErrSearchBudget is
 	// returned.
 	MaxEvaluations int64
@@ -32,6 +33,17 @@ var ErrSearchBudget = errors.New("solver: optimal search exceeded its evaluation
 // by a rounding error. Costs are O(1e2..1e4) nJ with O(1e-13) relative
 // noise; 1e-9 is orders of magnitude above both.
 const costSlack = 1e-9
+
+// relaxedBounder is the evaluator capability behind Optimal's
+// parent-distance certificate (model.IncrementalEvaluator implements
+// it): CommittedDistances snapshots a completed probe's distances and
+// their order, and RelaxedBound prices a dominated deployment from such
+// a snapshot without settling, pruning only where CostDeltaBounded
+// would prune too.
+type relaxedBounder interface {
+	CommittedDistances(dist []float64, order []int) error
+	RelaxedBound(lower []float64, order []int, m []int, limit float64) (bound float64, pruned bool, err error)
+}
 
 // Optimal computes the exact minimum total recharging cost by
 // branch-and-bound over deployments. It relies on two structural facts:
@@ -50,6 +62,19 @@ const costSlack = 1e-9
 // optimum overwhelmingly takes — so the incumbent prunes aggressively.
 // Practical for the paper's small-scale comparison (Fig. 7: N<=12,
 // M<=36); use IDB or RFH beyond that.
+//
+// Most bound probes prune, and a probe proven to prune need not settle.
+// From depth 2 on a node's bound vector is componentwise at most its
+// parent's, whose probe completed before the search descended, so by
+// fact 2 (and the monotonicity of IEEE division and addition) the
+// parent's committed distances are pointwise lower bounds on the
+// child's. One relaxation round from them (relaxedBounder) prices
+// a lower bound in O(E) without touching the evaluator, and it prunes
+// only at limit+2·boundedSlack, where the bounded settle is certain to
+// abandon the probe too. A certified prune therefore replaces a settle
+// that would have pruned: the search visits the same nodes in the same
+// order, and Result.Evaluations, the budget and the cancellation cadence
+// are unchanged.
 //
 // Fact 2 is a theorem for deployment (more nodes never worsen the
 // optimal routing) and false in general — charger placement's site costs
@@ -101,15 +126,33 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 		budgetErr   error
 		counts      = make([]int, n) // counts in *post* index space
 		boundBuf    = make([]int, n)
+		// lowers and orders hold, per depth, the committed distances of
+		// that depth's completed bound probe and its posts in distance
+		// order: pointwise lower bounds on every descendant bound probe's
+		// distances (see relaxedBounder).
+		rb, _  = ev.ev.(relaxedBounder)
+		lowers []float64
+		orders []int
 	)
+	if rb != nil {
+		lowers = make([]float64, n*(n+1))
+		orders = make([]int, n*n)
+	}
+	lowerAt := func(depth int) ([]float64, []int) {
+		return lowers[depth*(n+1) : (depth+1)*(n+1)], orders[depth*n : (depth+1)*n]
+	}
 	// evaluate prices m against the prune threshold bestCost-costSlack.
 	// A pruned probe proves its cost would not beat the incumbent and is
 	// abandoned mid-settle (model.BoundedProber), so it never produces a
 	// float and is not counted in Evaluations — MaxEvaluations therefore
 	// budgets *completed* evaluations, matching the reported counter.
 	// Cancellation and the budget are checked on the probe cadence so
-	// long pruned streaks cannot stall either.
-	evaluate := func(m []int) (float64, bool, error) {
+	// long pruned streaks cannot stall either. A non-nil lower holds a
+	// dominating completed probe's distances: when the relaxed bound
+	// from them certifies the prune, the settle is skipped — a certified
+	// prune is one the settle would have made, so it counts as a probe
+	// exactly like a settle-pruned one.
+	evaluate := func(m []int, lower []float64, byDist []int) (float64, bool, error) {
 		probes++
 		if opts.MaxEvaluations > 0 && evaluations >= opts.MaxEvaluations {
 			return 0, false, ErrSearchBudget
@@ -117,6 +160,11 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 		if probes%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return 0, false, err
+			}
+		}
+		if lower != nil {
+			if _, pruned, err := rb.RelaxedBound(lower, byDist, m, bestCost-costSlack); err != nil || pruned {
+				return 0, pruned, err
 			}
 		}
 		// Sibling search nodes share most of their vector, so the delta
@@ -136,7 +184,7 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 	dfs = func(depth, budget int) error {
 		remaining := n - depth
 		if remaining == 0 {
-			cost, pruned, err := evaluate(counts)
+			cost, pruned, err := evaluate(counts, nil, nil)
 			if err != nil {
 				return err
 			}
@@ -154,7 +202,17 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 			for _, i := range order[depth:] {
 				boundBuf[i] = maxEach
 			}
-			lb, pruned, err := evaluate(boundBuf)
+			// From depth 2 on the parent's bound vector dominates this
+			// one (one more post fixed at m <= its maxEach, the rest
+			// lowered to maxEach-m+1), so its distances bound ours.
+			var (
+				lower  []float64
+				byDist []int
+			)
+			if rb != nil && depth >= 2 {
+				lower, byDist = lowerAt(depth - 1)
+			}
+			lb, pruned, err := evaluate(boundBuf, lower, byDist)
 			if err != nil {
 				return err
 			}
@@ -177,6 +235,13 @@ func Optimal(ctx context.Context, inst model.Instance, opts OptimalOptions) (*Re
 				bestCost = lb
 				copy(bestDeploy, boundBuf)
 				return nil
+			}
+			if rb != nil {
+				// The probe just completed, so the evaluator holds its
+				// distances as the committed state.
+				if err := rb.CommittedDistances(lowerAt(depth)); err != nil {
+					return err
+				}
 			}
 		}
 		post := order[depth]

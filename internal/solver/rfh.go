@@ -62,8 +62,10 @@ const DefaultRFHIterations = 7
 // Its four phases reason about routing trees, path weights and node
 // allocation directly, none of which exist for other problem families,
 // so every instance other than the deployment problem is rejected with
-// an UnsupportedError. The context is checked at every round boundary,
-// so a cancelled run returns ctx.Err() within one round.
+// an UnsupportedError. The context is checked after the graph build,
+// between every two phases of every round and once more before
+// returning, so a cancelled or expired run returns ctx.Err() within one
+// phase — never a late result.
 func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, error) {
 	p, ok := inst.(*model.Problem)
 	if !ok {
@@ -82,6 +84,9 @@ func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, er
 	// vector and DAG recycled through Reset), and the Phase-II trimmer.
 	cg, err := model.NewCommGraph(p)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	router := graph.NewRouter(cg.Graph())
@@ -131,7 +136,13 @@ func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, er
 				}
 			}
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if err := trimmer.Trim(dag, p.ReportRates, nil, &trimmed); err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Phase III is *opportunistic*: the merged tree concentrates
@@ -149,6 +160,9 @@ func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, er
 			if stats.Reparented > 0 {
 				candidates = append(candidates, merged)
 			}
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		roundCost := math.Inf(1)
 		var (
@@ -178,6 +192,9 @@ func RFH(ctx context.Context, inst model.Instance, opts RFHOptions) (*Result, er
 			bestCost = roundCost
 			best = &Result{Solution: model.Solution{Deploy: cur.Clone(), Tree: roundTree, Cost: roundCost}}
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	best.IterationCosts = costs
 	best.Evaluations = router.Settled()
